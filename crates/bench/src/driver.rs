@@ -10,10 +10,14 @@
 //!    ([`Driver::programs`] × [`Driver::configs`]);
 //! 2. executes jobs on `--jobs` worker threads (`std::thread::scope`, no
 //!    dependencies);
-//! 3. caches the frontend [`mir::Module`] per program and the
-//!    post-optimization pipeline prefix per (program, opt level, extension
-//!    point) — see [`meminstrument::runtime::pipeline_prefix`] — so shared
-//!    compilation work happens once per sweep, not once per cell;
+//! 3. compiles every cell through the job API's staged compile
+//!    ([`crate::job::stage`]) against a per-run [`ArtifactStore`]: the
+//!    frontend [`mir::Module`] per program, the post-optimization pipeline
+//!    prefix per (program, opt level, extension point) — see
+//!    [`meminstrument::runtime::pipeline_prefix`] — and the
+//!    interprocedural summaries per prefix are built once per sweep, not
+//!    once per cell. Instrumentation runs per cell and is never cached;
+//!    the store is sized from the matrix, so nothing is evicted;
 //! 4. records wall-clock per stage (frontend, pipeline, instrumentation,
 //!    execution) next to the existing [`InstrStats`]/[`VmStats`] and can
 //!    serialize everything into a machine-readable JSON report with a
@@ -29,21 +33,17 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use meminstrument::runtime::{
-    compile_baseline_from_prefix, compile_baseline_from_prefix_traced, compile_from_prefix_traced,
-    compile_from_prefix_with_summaries, pipeline_prefix, pipeline_prefix_traced, BuildOptions,
-};
 use meminstrument::{InstrStats, Instrument, Mechanism, MiMode, OptConfig};
 use memvm::{MemCounters, OpMetrics, SiteProfile, VmConfig, VmStats};
-use mir::analysis::ipo::ModuleSummaries;
-use mir::pipeline::{ExtensionPoint, OptLevel};
+use mir::pipeline::ExtensionPoint;
 use mir::trace::TraceRecorder;
 use telemetry::{FoldedStacks, Registry};
 
 use crate::json::{json_str, json_str_array};
+use crate::store::ArtifactStore;
 
 /// A program to evaluate: a name plus its mini-C source.
 #[derive(Clone, Debug)]
@@ -161,9 +161,7 @@ pub struct CellResult {
     pub config: String,
     /// Execution outcome; `Err` carries the classified trap.
     pub outcome: Result<CellOk, CellTrap>,
-    /// Wall-clock spent in this cell's stages (the frontend/pipeline
-    /// portions are the shared cached stages, attributed to every cell
-    /// that consumed them).
+    /// Wall-clock spent in this cell's stages.
     pub timing: CellTiming,
 }
 
@@ -181,10 +179,12 @@ impl CellResult {
 /// Per-cell stage wall-clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CellTiming {
-    /// Frontend compile of this cell's program (shared across its cells).
+    /// This cell's frontend store lookup: the compile itself for the cell
+    /// that built its program's module, a cache hit for the others.
     pub frontend: Duration,
-    /// Pipeline prefix up to the extension point (shared per (program,
-    /// opt, ep)).
+    /// This cell's pipeline-prefix and interprocedural-summary store
+    /// lookups, including the builds when this cell performed them.
+    /// Summaries always count here, never under `instrumentation`.
     pub pipeline: Duration,
     /// Instrumentation + post-prefix pipeline stages (per cell).
     pub instrumentation: Duration,
@@ -197,7 +197,8 @@ pub struct CellTiming {
 }
 
 /// Cache effectiveness counters. Deterministic: they count the matrix
-/// shape, not scheduling.
+/// shape, not scheduling (two workers racing on one store miss may both
+/// build the artifact; the counters still report one compile).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Frontend compilations performed (one per program).
@@ -217,9 +218,11 @@ pub struct SweepTimings {
     pub jobs: usize,
     /// End-to-end wall-clock of [`Driver::run`].
     pub wall: Duration,
-    /// Sum over unique frontend compilations.
+    /// Sum over cells of [`CellTiming::frontend`] (each program's
+    /// compile once, plus the lookups).
     pub frontend: Duration,
-    /// Sum over unique pipeline prefixes.
+    /// Sum over cells of [`CellTiming::pipeline`] (each prefix and summary
+    /// build once, plus the lookups).
     pub pipeline: Duration,
     /// Sum over cells: instrumentation + pipeline completion.
     pub instrumentation: Duration,
@@ -244,8 +247,9 @@ pub struct Report {
     pub cache: CacheStats,
     /// Aggregate per-stage wall-clock.
     pub timings: SweepTimings,
-    /// Pass-pipeline traces, one track per cached prefix and per cell (in
-    /// matrix order), when the sweep ran with [`Driver::with_trace`].
+    /// Pass-pipeline traces, one track per shared prefix (in order of
+    /// first use) and then one per cell (in matrix order), when the sweep
+    /// ran with [`Driver::with_trace`].
     /// Empty otherwise.
     pub traces: Vec<(String, TraceRecorder)>,
     /// The flame-sampler interval the sweep executed under (0 = off),
@@ -565,88 +569,27 @@ impl Driver {
 
     /// Runs the sweep and collects the report.
     ///
-    /// Three phases, each internally parallel, each a pure function of the
-    /// matrix: frontend per program, pipeline prefix per (program, opt,
-    /// ep), then the cells themselves from cloned cached prefixes.
+    /// One parallel pass over the matrix: each cell compiles through
+    /// [`crate::job::stage`] against a store private to this run (so
+    /// frontend, prefix and summaries are shared across cells), then
+    /// instruments and executes.
     pub fn run(&self) -> Report {
         let t_start = Instant::now();
-
-        // Phase 1 — frontend: one compile per program, shared by every
-        // cell in its row.
-        let frontends: Vec<(mir::Module, Duration)> = par_map(self.jobs, &self.programs, |_, p| {
-            let t = Instant::now();
-            let m = cfront::compile_named(&p.source, &p.name)
-                .unwrap_or_else(|e| panic!("{}: frontend error: {e}", p.name));
-            (m, t.elapsed())
-        });
-
-        // Phase 2 — pipeline prefixes: one per (program, opt, ep) actually
-        // referenced by the matrix.
-        let mut prefix_keys: Vec<(usize, OptLevel, ExtensionPoint)> = Vec::new();
-        for pi in 0..self.programs.len() {
-            for cfg in &self.configs {
-                let key = (pi, cfg.build_options().opt, cfg.build_options().ep);
-                if !prefix_keys.contains(&key) {
-                    prefix_keys.push(key);
-                }
-            }
-        }
-        let prefixes: Vec<(mir::Module, Duration, Option<TraceRecorder>)> =
-            par_map(self.jobs, &prefix_keys, |_, &(pi, opt, ep)| {
-                let t = Instant::now();
-                let opts = BuildOptions { opt, ep };
-                let module = frontends[pi].0.clone();
-                let (m, rec) = if self.trace {
-                    let mut rec = TraceRecorder::new();
-                    (pipeline_prefix_traced(module, opts, &mut rec), Some(rec))
-                } else {
-                    (pipeline_prefix(module, opts), None)
-                };
-                (m, t.elapsed(), rec)
-            });
-        let prefix_index: HashMap<(usize, OptLevel, ExtensionPoint), usize> =
-            prefix_keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-
-        // Phase 2.5 — interprocedural summaries: one per prefix snapshot
-        // that an IPO-enabled configuration will consume. Summaries are a
-        // pure function of the prefix, so sharing one computation across
-        // every cell of the (program, opt, ep) row cannot change results.
-        let summary_slots: Vec<usize> = (0..prefix_keys.len()).collect();
-        let summaries: Vec<Option<Arc<ModuleSummaries>>> =
-            par_map(self.jobs, &summary_slots, |_, &slot| {
-                let (_, opt, ep) = prefix_keys[slot];
-                let wanted = self.configs.iter().any(|cfg| {
-                    let o = cfg.build_options();
-                    o.opt == opt && o.ep == ep && cfg.mi_config().is_some_and(|mi| mi.uses_ipo())
-                });
-                wanted.then(|| Arc::new(mir::analysis::ipo::summarize(&prefixes[slot].0)))
-            });
-
-        // Phase 3 — cells: instrument (completing the pipeline) + execute,
-        // from a clone of the cached prefix.
         let cell_keys: Vec<(usize, usize)> = (0..self.programs.len())
             .flat_map(|pi| (0..self.configs.len()).map(move |ci| (pi, ci)))
             .collect();
-        let cells: Vec<(CellResult, Option<TraceRecorder>)> =
+        // Every level holds at most one entry per cell: nothing is evicted.
+        let store = ArtifactStore::with_capacity(cell_keys.len());
+
+        let mut cells: Vec<(CellResult, Option<TraceRecorder>, Option<TraceRecorder>)> =
             par_map(self.jobs, &cell_keys, |_, &(pi, ci)| {
-                let cfg = &self.configs[ci];
-                let opts = cfg.build_options();
-                let prefix_slot = prefix_index[&(pi, opts.opt, opts.ep)];
-                let (prefix, prefix_time, _) = &prefixes[prefix_slot];
+                let (program, cfg) = (&self.programs[pi], &self.configs[ci]);
+                let staged = crate::job::stage(program, cfg, &store, self.trace)
+                    .unwrap_or_else(|e| panic!("{}: {e}", program.name));
 
                 let t = Instant::now();
-                let mut rec = if self.trace { Some(TraceRecorder::new()) } else { None };
-                let prog = match (cfg.mi_config(), &mut rec) {
-                    (None, None) => compile_baseline_from_prefix(prefix.clone(), opts),
-                    (None, Some(r)) => compile_baseline_from_prefix_traced(prefix.clone(), opts, r),
-                    (Some(mi), None) => compile_from_prefix_with_summaries(
-                        prefix.clone(),
-                        mi,
-                        opts,
-                        summaries[prefix_slot].clone(),
-                    ),
-                    (Some(mi), Some(r)) => compile_from_prefix_traced(prefix.clone(), mi, opts, r),
-                };
+                let mut rec = self.trace.then(TraceRecorder::new);
+                let prog = staged.instrument(rec.as_mut());
                 let instrumentation = t.elapsed();
 
                 // The VM stage (setup timed separately from execution, so
@@ -661,59 +604,78 @@ impl Driver {
                     None,
                     false,
                 );
-                let outcome = stage.outcome.map_err(|t| CellTrap::from_trap(&t));
-                let (vm_compile, execution) = (stage.vm_compile, stage.execution);
-
                 let cell = CellResult {
-                    program: self.programs[pi].name.clone(),
+                    program: program.name.clone(),
                     config: cfg.to_string(),
-                    outcome,
+                    outcome: stage.outcome.map_err(|t| CellTrap::from_trap(&t)),
                     timing: CellTiming {
-                        frontend: frontends[pi].1,
-                        pipeline: *prefix_time,
+                        frontend: staged.frontend,
+                        pipeline: staged.pipeline,
                         instrumentation,
-                        vm_compile,
-                        execution,
+                        vm_compile: stage.vm_compile,
+                        execution: stage.execution,
                     },
                 };
-                (cell, rec)
+                (cell, staged.prefix_trace, rec)
             });
 
-        // Trace tracks: cached prefixes first (in prefix-key order), then
-        // cells in matrix order — a deterministic layout, independent of
-        // which worker ran what.
+        // A column opens a prefix when no earlier column shares its
+        // (opt, ep); the matrix shape alone fixes the cache counters and
+        // the trace layout.
+        let opens_prefix: Vec<bool> = (0..self.configs.len())
+            .map(|ci| {
+                let opts = self.configs[ci].build_options();
+                !self.configs[..ci].iter().any(|c| c.build_options() == opts)
+            })
+            .collect();
+
+        // Trace tracks: prefixes first (in order of first use), each from
+        // whichever cell built it, then cells in matrix order — a
+        // deterministic layout, independent of which worker ran what.
         let mut traces: Vec<(String, TraceRecorder)> = Vec::new();
         if self.trace {
-            for (i, &(pi, opt, ep)) in prefix_keys.iter().enumerate() {
-                let opt = match opt {
-                    OptLevel::O0 => "O0",
-                    OptLevel::O3 => "O3",
-                };
-                let label = format!("{}/prefix@{opt}@{}", self.programs[pi].name, ep.name());
-                traces.push((label, prefixes[i].2.clone().unwrap_or_default()));
+            let mut built = HashMap::new();
+            for (&(pi, ci), (_, prefix, _)) in cell_keys.iter().zip(&mut cells) {
+                if let Some(rec) = prefix.take() {
+                    built.entry((pi, self.configs[ci].build_options())).or_insert(rec);
+                }
             }
-            for (cell, rec) in &cells {
+            for &(pi, ci) in &cell_keys {
+                if opens_prefix[ci] {
+                    let opts = self.configs[ci].build_options();
+                    let label = format!(
+                        "{}/prefix@{}@{}",
+                        self.programs[pi].name,
+                        opts.opt.name(),
+                        opts.ep.name()
+                    );
+                    traces.push((label, built.remove(&(pi, opts)).unwrap_or_default()));
+                }
+            }
+            for (cell, _, rec) in &mut cells {
                 let label = format!("{}/{}", cell.program, cell.config);
-                traces.push((label, rec.clone().unwrap_or_default()));
+                traces.push((label, rec.take().unwrap_or_default()));
             }
         }
-        let cells: Vec<CellResult> = cells.into_iter().map(|(c, _)| c).collect();
+        let cells: Vec<CellResult> = cells.into_iter().map(|(c, _, _)| c).collect();
 
         let n_cells = cells.len() as u64;
+        let prefixes = (self.programs.len() * opens_prefix.iter().filter(|&&o| o).count()) as u64;
         let cache = CacheStats {
             frontend_compiles: self.programs.len() as u64,
             frontend_reuses: n_cells - self.programs.len() as u64,
-            prefix_compiles: prefix_keys.len() as u64,
-            prefix_reuses: n_cells - prefix_keys.len() as u64,
+            prefix_compiles: prefixes,
+            prefix_reuses: n_cells - prefixes,
         };
+        let sum = |f: fn(&CellTiming) -> Duration| cells.iter().map(|c| f(&c.timing)).sum();
         let timings = SweepTimings {
             jobs: self.jobs,
             wall: t_start.elapsed(),
-            frontend: frontends.iter().map(|(_, d)| *d).sum(),
-            pipeline: prefixes.iter().map(|(_, d, _)| *d).sum(),
-            instrumentation: cells.iter().map(|c| c.timing.instrumentation).sum(),
-            vm_compile: cells.iter().map(|c| c.timing.vm_compile).sum(),
-            execution: cells.iter().map(|c| c.timing.execution).sum(),
+            frontend: sum(|t| t.frontend),
+            pipeline: sum(|t| t.pipeline),
+            instrumentation: sum(|t| t.instrumentation),
+            vm_compile: sum(|t| t.vm_compile),
+            execution: sum(|t| t.execution),
         };
         Report {
             programs: self.programs.iter().map(|p| p.name.clone()).collect(),
@@ -943,23 +905,32 @@ mod tests {
 
     #[test]
     fn trace_is_identical_for_any_worker_count() {
-        let configs = fig9_configs();
-        let r1 = Driver::new(tiny_programs(), configs.clone()).with_jobs(1).with_trace(true).run();
-        let r8 = Driver::new(tiny_programs(), configs).with_jobs(8).with_trace(true).run();
-        let t1 = r1.trace_json();
-        assert_eq!(t1, r8.trace_json());
-        // One track per cached prefix plus one per cell.
-        assert_eq!(r1.traces.len(), 2 + 6);
-        assert!(t1.contains("\"traceEvents\""));
-        assert!(t1.contains("\"name\":\"sum/softbound@O3@VectorizerStart\""), "{t1}");
-        assert!(t1.contains("\"name\":\"heap/prefix@O3@VectorizerStart\""), "{t1}");
-        // The instrumentation plugin shows up as a span on instrumented
-        // cell tracks.
-        assert!(t1.contains("\"cat\":\"plugin@VectorizerStart\""), "{t1}");
-        // Tracing must not perturb results.
-        let plain = Driver::new(tiny_programs(), fig9_configs()).with_jobs(2).run();
-        assert!(plain.traces.is_empty());
-        assert_eq!(plain.to_json(false), r1.to_json(false));
+        // The committed document pins the whole layout: one track per
+        // shared prefix (in order of first use), then one per cell.
+        let golden = include_str!("../tests/golden/tiny-fig9-trace.json");
+        for jobs in [1, 8] {
+            let r =
+                Driver::new(tiny_programs(), fig9_configs()).with_jobs(jobs).with_trace(true).run();
+            assert_eq!(r.trace_json(), golden, "--jobs {jobs}");
+            assert_eq!(r.traces.len(), 2 + 6);
+            // Tracing must not perturb results.
+            let plain = Driver::new(tiny_programs(), fig9_configs()).with_jobs(2).run();
+            assert!(plain.traces.is_empty());
+            assert_eq!(plain.to_json(false), r.to_json(false));
+        }
+    }
+
+    /// Tracing must not change a single cell of the paper sweep (release
+    /// only: the full matrix takes minutes in debug builds).
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn traced_paper_sweep_matches_untraced() {
+        let sweep = |trace| {
+            Driver::new(benchmark_programs(), paper_sweep_configs()).with_trace(trace).run()
+        };
+        let traced = sweep(true);
+        assert_eq!(traced.cells.len(), 20 * 14);
+        assert_eq!(traced.to_json(false), sweep(false).to_json(false));
     }
 
     #[test]

@@ -19,11 +19,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use meminstrument::runtime::{
-    compile_baseline_from_prefix, compile_from_prefix_with_summaries, pipeline_prefix,
-    CompiledProgram,
+    complete_prefix, pipeline_prefix, pipeline_prefix_traced, CompiledProgram,
 };
 use meminstrument::{InstrStats, Instrument};
 use memvm::{BcImage, Trap, VmBackend, VmConfig};
+use mir::analysis::ipo::{self, ModuleSummaries};
+use mir::trace::TraceRecorder;
 
 use crate::driver::{cell_json, static_json, CellOk, CellTrap, Program};
 use crate::json::{json_str, Json};
@@ -413,10 +414,89 @@ pub fn run_vm_stage(
     VmStage { outcome, vm_compile, execution, image: captured }
 }
 
+/// The compile stages one job shares with others through a store —
+/// frontend, pipeline prefix and (for IPO configurations) interprocedural
+/// summaries — ready for the last, per-configuration step
+/// ([`Staged::instrument`]).
+///
+/// This is the single compile path: [`execute`] wraps the last step in the
+/// store's `compiled` level, and the sweep driver runs it afresh for every
+/// cell, caching nothing per cell.
+pub struct Staged<'a> {
+    config: &'a Instrument,
+    hash: u64,
+    prefix: Arc<mir::Module>,
+    summaries: Option<Arc<ModuleSummaries>>,
+    /// Wall-clock of the frontend lookup, including the build on a miss.
+    pub frontend: Duration,
+    /// Wall-clock of the prefix and summary lookups, including the builds
+    /// on a miss.
+    pub pipeline: Duration,
+    /// The prefix's per-pass trace: `Some` when tracing was asked for and
+    /// this call built the prefix.
+    pub prefix_trace: Option<TraceRecorder>,
+}
+
+/// Runs the shared compile stages of `program` under `config`, looking
+/// each one up in `store` (frontend → prefix → summaries) and building it
+/// on a miss. With `trace`, a prefix this call builds records its passes
+/// into [`Staged::prefix_trace`].
+///
+/// # Errors
+///
+/// Returns the frontend diagnostic (`frontend error: …`).
+pub fn stage<'a>(
+    program: &Program,
+    config: &'a Instrument,
+    store: &ArtifactStore,
+    trace: bool,
+) -> Result<Staged<'a>, String> {
+    let hash = program_hash(program);
+    let t = Instant::now();
+    let module = store.frontend(hash, || {
+        cfront::compile_named(&program.source, &program.name)
+            .map_err(|e| format!("frontend error: {e}"))
+    })?;
+    let frontend = t.elapsed();
+
+    let t = Instant::now();
+    let opts = config.build_options();
+    let key = (hash, opts.opt, opts.ep);
+    let mut prefix_trace = None;
+    let prefix = store.prefix(key, || {
+        let module = (*module).clone();
+        if !trace {
+            return pipeline_prefix(module, opts);
+        }
+        let rec = prefix_trace.insert(TraceRecorder::new());
+        pipeline_prefix_traced(module, opts, rec)
+    });
+    // Interprocedural summaries are a pure function of the prefix snapshot,
+    // so one cached computation serves every IPO-enabled configuration of
+    // this (program, opt level, extension point).
+    let summaries = match config.mi_config() {
+        Some(mi) if mi.uses_ipo() => Some(store.summaries(key, || ipo::summarize(&prefix))),
+        _ => None,
+    };
+    let pipeline = t.elapsed();
+    Ok(Staged { config, hash, prefix, summaries, frontend, pipeline, prefix_trace })
+}
+
+impl Staged<'_> {
+    /// The last compile step: instruments a copy of the prefix with the
+    /// shared summaries and completes the pipeline, recording its passes
+    /// into `rec` when given. Touches no store.
+    pub fn instrument(&self, rec: Option<&mut TraceRecorder>) -> CompiledProgram {
+        let (opts, mi) = (self.config.build_options(), self.config.mi_config());
+        complete_prefix((*self.prefix).clone(), mi, opts, self.summaries.clone(), rec)
+    }
+}
+
 /// Executes one job against `store` under `vm_cfg` and `ctl`.
 ///
-/// Compilation stages flow through the store's levels (frontend → prefix →
-/// instrumented program → bytecode image); the VM stage runs through
+/// Compilation runs through [`stage`] and then the store's `compiled`
+/// level around [`Staged::instrument`] (frontend → prefix → summaries →
+/// instrumented program), execution through the `bytecode` level and
 /// [`run_vm_stage`], so results are byte-identical to a direct
 /// [`crate::driver::Driver`] sweep of the same cell.
 ///
@@ -432,30 +512,10 @@ pub fn execute(
     ctl: &JobCtl,
 ) -> Result<JobOutcome, JobError> {
     let program = spec.source.resolve().map_err(|reason| JobError::Rejected { reason })?;
-    let h = program_hash(&program);
-    let module = store
-        .frontend(h, || {
-            cfront::compile_named(&program.source, &program.name)
-                .map_err(|e| format!("frontend error: {e}"))
-        })
+    let staged = stage(&program, &spec.config, store, false)
         .map_err(|reason| JobError::Rejected { reason })?;
-
-    let opts = spec.config.build_options();
-    let label = spec.config.to_string();
-    let prefix = store.prefix((h, opts.opt, opts.ep), || pipeline_prefix((*module).clone(), opts));
-    // Interprocedural summaries are a pure function of the prefix snapshot,
-    // so one cached computation serves every IPO-enabled configuration of
-    // this (program, opt level, extension point).
-    let summaries = match spec.config.mi_config() {
-        Some(mi) if mi.uses_ipo() => {
-            Some(store.summaries((h, opts.opt, opts.ep), || mir::analysis::ipo::summarize(&prefix)))
-        }
-        _ => None,
-    };
-    let prog = store.compiled((h, label.clone()), || match spec.config.mi_config() {
-        None => compile_baseline_from_prefix((*prefix).clone(), opts),
-        Some(mi) => compile_from_prefix_with_summaries((*prefix).clone(), mi, opts, summaries),
-    });
+    let (h, label) = (staged.hash, spec.config.to_string());
+    let prog = store.compiled((h, label.clone()), || staged.instrument(None));
 
     if spec.action == JobAction::Compile {
         return Ok(JobOutcome::Compiled {

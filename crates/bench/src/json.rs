@@ -1,8 +1,9 @@
-//! A minimal, dependency-free JSON layer.
+//! A minimal JSON layer with no external dependencies.
 //!
 //! Two halves, both deliberately small:
 //!
-//! * **Escaping/encoding helpers** ([`json_str`], [`json_str_array`]) used
+//! * **Escaping/encoding helpers** ([`json_str`], re-exported from
+//!   [`telemetry::json`], and [`json_str_array`]) used
 //!   by every hand-rolled serializer in the workspace (the `evald-report/2`
 //!   renderer, the `mi-serve/1` wire protocol). Output is deterministic:
 //!   the same value always renders to the same bytes.
@@ -15,33 +16,7 @@
 //! no trailing-comma tolerance — exactly RFC 8259 value syntax, which is
 //! all the frozen wire schemas need.
 
-use std::fmt::Write as _;
-
-/// Renders `s` as a JSON string literal (with quotes).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_str(&mut out, s);
-    out
-}
-
-/// Appends `s` as a JSON string literal (with quotes) to `out`.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+pub use telemetry::json::{json_str, push_json_str};
 
 /// Renders a string slice array (`["a", "b"]`).
 pub fn json_str_array(items: &[String]) -> String {

@@ -2,14 +2,14 @@
 //!
 //! Caches the products of every compilation stage across jobs (and, in the
 //! `mi serve` daemon, across client connections), keyed by the FNV-1a hash
-//! of the source (see [`crate::job::SourceRef::content_hash`]) plus the
+//! of the source (see [`crate::job::program_hash`]) plus the
 //! stage's configuration:
 //!
 //! | level       | key                         | artifact                     |
 //! |-------------|-----------------------------|------------------------------|
 //! | `frontend`  | source hash                 | [`mir::Module`]              |
 //! | `prefix`    | hash × opt level × ext pt   | post-prefix [`mir::Module`]  |
-//! | `summaries` | hash × opt level × ext pt   | [`ipo::ModuleSummaries`]     |
+//! | `summaries` | hash × opt level × ext pt   | [`ModuleSummaries`]          |
 //! | `compiled`  | hash × `Instrument` label   | [`CompiledProgram`]          |
 //! | `bytecode`  | hash × `Instrument` label   | [`memvm::BcImage`]           |
 //!
@@ -18,12 +18,20 @@
 //! one entry serves every mechanism and optimization-flag combination of
 //! that snapshot.
 //!
+//! The evaluation driver compiles each sweep through a store of its own,
+//! sized from the job matrix so nothing is evicted, and uses only the
+//! first three levels: per-cell artifacts are never cached there.
+//!
 //! Correctness rests on the pipeline being a pure function of its key: the
-//! `Instrument` label grammar round-trips the whole configuration, the
-//! pipeline-determinism properties in `tests/props.rs` pin the stages, and
-//! the byte-identity tests in `crates/serve` hold store-served results
-//! equal to direct compilation. Eviction (LRU per level, capacity-bounded)
-//! therefore only ever costs recompilation, never changes results.
+//! `Instrument` label grammar round-trips mechanism, mode, `OptConfig`,
+//! opt level and extension point, the pipeline-determinism properties in
+//! `tests/props.rs` pin the stages, and the byte-identity tests in
+//! `crates/serve` hold store-served results equal to direct compilation.
+//! Eviction (LRU per level, capacity-bounded) therefore only ever costs
+//! recompilation, never changes results. The label does not carry the
+//! SoftBound `sb_narrow_member_bounds`/`sb_wrapper_checks` knobs, so
+//! configurations that set them must not be keyed by label (`mi run
+//! --connect` rejects them).
 //!
 //! Every lookup is hit/miss-counted into an internal
 //! [`telemetry::Registry`] (`store_lookups{level,outcome}`,
@@ -31,6 +39,7 @@
 //! daemon merges into its `mi-metrics/1` endpoint.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
@@ -141,6 +150,30 @@ impl ArtifactStore {
         inner.tick
     }
 
+    /// Looks `key` up in the level `level` selects, running `build` outside
+    /// the lock on a miss and inserting its result; a failed build caches
+    /// nothing.
+    fn lookup<K: Eq + Hash + Clone, T, E>(
+        &self,
+        level: fn(&mut Inner) -> (&mut Level<K, T>, &mut Registry),
+        key: K,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        {
+            let inner = &mut *self.inner.lock().unwrap();
+            let tick = Self::tick(inner);
+            let (level, metrics) = level(inner);
+            if let Some(v) = level.get(&key, tick, metrics) {
+                return Ok(v);
+            }
+        }
+        let built = Arc::new(build()?);
+        let inner = &mut *self.inner.lock().unwrap();
+        let tick = Self::tick(inner);
+        let (level, metrics) = level(inner);
+        Ok(level.insert(key, built, tick, metrics))
+    }
+
     /// Frontend module for `hash`, building it on a miss.
     ///
     /// # Errors
@@ -151,17 +184,7 @@ impl ArtifactStore {
         hash: u64,
         build: impl FnOnce() -> Result<mir::Module, String>,
     ) -> Result<Arc<mir::Module>, String> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(m) = inner.frontend.get(&hash, tick, &mut inner.metrics) {
-                return Ok(m);
-            }
-        }
-        let built = Arc::new(build()?);
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        Ok(inner.frontend.insert(hash, built, tick, &mut inner.metrics))
+        self.lookup(|i| (&mut i.frontend, &mut i.metrics), hash, build)
     }
 
     /// Pipeline prefix for `(hash, opt, ep)`, building it on a miss.
@@ -170,17 +193,9 @@ impl ArtifactStore {
         key: (u64, OptLevel, ExtensionPoint),
         build: impl FnOnce() -> mir::Module,
     ) -> Arc<mir::Module> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(m) = inner.prefix.get(&key, tick, &mut inner.metrics) {
-                return m;
-            }
-        }
-        let built = Arc::new(build());
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.prefix.insert(key, built, tick, &mut inner.metrics)
+        let Ok(m) =
+            self.lookup(|i| (&mut i.prefix, &mut i.metrics), key, || Ok::<_, Infallible>(build()));
+        m
     }
 
     /// Interprocedural summaries for the `(hash, opt, ep)` prefix
@@ -192,17 +207,12 @@ impl ArtifactStore {
         key: (u64, OptLevel, ExtensionPoint),
         build: impl FnOnce() -> ModuleSummaries,
     ) -> Arc<ModuleSummaries> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(s) = inner.summaries.get(&key, tick, &mut inner.metrics) {
-                return s;
-            }
-        }
-        let built = Arc::new(build());
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.summaries.insert(key, built, tick, &mut inner.metrics)
+        let Ok(s) = self.lookup(
+            |i| (&mut i.summaries, &mut i.metrics),
+            key,
+            || Ok::<_, Infallible>(build()),
+        );
+        s
     }
 
     /// Instrumented program for `(hash, label)`, building it on a miss.
@@ -211,17 +221,12 @@ impl ArtifactStore {
         key: (u64, String),
         build: impl FnOnce() -> CompiledProgram,
     ) -> Arc<CompiledProgram> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(p) = inner.compiled.get(&key, tick, &mut inner.metrics) {
-                return p;
-            }
-        }
-        let built = Arc::new(build());
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.compiled.insert(key, built, tick, &mut inner.metrics)
+        let Ok(p) = self.lookup(
+            |i| (&mut i.compiled, &mut i.metrics),
+            key,
+            || Ok::<_, Infallible>(build()),
+        );
+        p
     }
 
     /// Cached bytecode image for `(hash, label)`, if present (hit-counted).

@@ -249,19 +249,6 @@ fn frontend(path: &str) -> Result<mir::Module, String> {
     cfront::compile_named(&src, &name).map_err(|e| format!("{path}:{e}"))
 }
 
-fn build(module: mir::Module, o: &Options) -> meminstrument::CompiledProgram {
-    o.cell.compile(module)
-}
-
-/// Like [`build`], recording a pass-pipeline trace into `rec`.
-fn build_traced(
-    module: mir::Module,
-    o: &Options,
-    rec: &mut TraceRecorder,
-) -> meminstrument::CompiledProgram {
-    o.cell.compile_traced(module, rec)
-}
-
 fn cmd_run(path: &str, o: &Options) -> ExitCode {
     let module = match frontend(path) {
         Ok(m) => m,
@@ -271,10 +258,13 @@ fn cmd_run(path: &str, o: &Options) -> ExitCode {
         }
     };
     let prog = match &o.trace {
-        None => build(module, o),
+        None => o.cell.compile(module),
         Some(trace_path) => {
+            use meminstrument::runtime::{complete_prefix, pipeline_prefix_traced};
             let mut rec = TraceRecorder::new();
-            let prog = build_traced(module, o, &mut rec);
+            let opts = o.cell.build_options();
+            let prefix = pipeline_prefix_traced(module, opts, &mut rec);
+            let prog = complete_prefix(prefix, o.cell.mi_config(), opts, None, Some(&mut rec));
             if let Err(e) = std::fs::write(trace_path, rec.to_chrome_trace()) {
                 eprintln!("error: {trace_path}: {e}");
                 return ExitCode::FAILURE;
@@ -324,7 +314,7 @@ fn cmd_run(path: &str, o: &Options) -> ExitCode {
 fn cmd_ir(path: &str, o: &Options) -> ExitCode {
     match frontend(path) {
         Ok(module) => {
-            let prog = build(module, o);
+            let prog = o.cell.compile(module);
             print!("{}", mir::printer::print_module(&prog.module));
             ExitCode::SUCCESS
         }
@@ -380,7 +370,7 @@ fn cmd_stats(path: &str, o: &Options) -> ExitCode {
     };
     let base = Instrument::from_parts(None, o.cell.build_options()).compile(module.clone());
     let base_size: usize = base.module.functions.iter().map(|f| f.live_instr_count()).sum();
-    let prog = build(module, o);
+    let prog = o.cell.compile(module);
     let size: usize = prog.module.functions.iter().map(|f| f.live_instr_count()).sum();
     println!("static:");
     println!(
@@ -477,7 +467,7 @@ fn cmd_profile(path: &str, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let prog = build(module, &o);
+    let prog = o.cell.compile(module);
     let src_file = prog.module.src_file.clone();
     let sites = prog.module.check_sites.clone();
     let mut vm = match prog.make_vm(o.cell.vm_config()) {
@@ -1174,6 +1164,13 @@ fn cmd_run_connect(path: &str, socket: &str, o: &Options) -> ExitCode {
     use bench::json::Json;
     if o.trace.is_some() || o.flame.is_some() {
         eprintln!("error: --trace/--flame are not available with --connect");
+        return ExitCode::from(2);
+    }
+    // The job wire format carries the configuration as its label, which
+    // does not encode these two SoftBound knobs: the daemon would silently
+    // run a different configuration.
+    if o.cell.mi_config().is_some_and(|c| c.sb_narrow_member_bounds || c.sb_wrapper_checks) {
+        eprintln!("error: --narrow/--wrapper-checks are not available with --connect");
         return ExitCode::from(2);
     }
     let (name, text) = match resolve_source(path) {

@@ -180,6 +180,25 @@ fn run_trace_writes_chrome_trace_json() {
 }
 
 #[test]
+fn run_connect_rejects_options_the_job_label_cannot_carry() {
+    // `--narrow` and `--wrapper-checks` are not part of the configuration
+    // label a job travels as, so a daemon would run a different
+    // configuration: usage error before any connection is attempted.
+    let path = write_temp("connect.c", CLEAN);
+    let socket = std::env::temp_dir().join("mi_cli_test_no_such_daemon.sock");
+    for flag in ["--narrow", "--wrapper-checks"] {
+        let out = mi()
+            .args(["run", path.to_str().unwrap(), "--mech", "softbound", flag])
+            .args(["--connect", socket.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("not available with --connect"), "{flag}: {err}");
+    }
+}
+
+#[test]
 fn eval_trace_is_byte_identical_across_job_counts() {
     let path = write_temp("eval_trace.c", CLEAN);
     let t1 = std::env::temp_dir().join("mi_cli_test_eval_trace_j1.json");

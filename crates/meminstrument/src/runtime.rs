@@ -19,6 +19,7 @@ use memvm::interp::{ExecOutcome, GlobalPlacer, Trap, Vm, VmConfig};
 use memvm::{CostCategory, RtVal};
 use mir::analysis::ipo::ModuleSummaries;
 use mir::module::{Global, Module};
+use mir::passes::ModulePass;
 use mir::pipeline::{ExtensionPoint, OptLevel, Pipeline};
 use mir::srcloc::{CheckSite, SiteKind};
 use mir::trace::TraceRecorder;
@@ -30,7 +31,7 @@ use crate::pass::MemInstrumentPass;
 use crate::stats::InstrStats;
 
 /// Pipeline options for compilation.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct BuildOptions {
     /// Optimization level.
     pub opt: OptLevel,
@@ -62,57 +63,25 @@ pub struct CompiledProgram {
 /// Compiles `module` with instrumentation per `config` at the extension
 /// point in `opts`.
 pub fn compile(module: Module, config: &MiConfig, opts: BuildOptions) -> CompiledProgram {
-    compile_from_prefix(pipeline_prefix(module, opts), config, opts)
-}
-
-/// Like [`compile`], recording a per-pass span (including the
-/// instrumentation plugin) in `rec`.
-pub fn compile_traced(
-    mut module: Module,
-    config: &MiConfig,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    let p = Pipeline::new(opts.opt);
-    p.run_to_traced(&mut module, opts.ep, rec);
-    let mut pass = MemInstrumentPass::new(config.clone());
-    p.resume_at_traced(&mut module, opts.ep, Some(&mut pass), rec);
-    CompiledProgram {
-        module,
-        mechanism: Some(config.mechanism),
-        stats: pass.stats,
-        elisions: pass.elisions,
-    }
+    complete_prefix(pipeline_prefix(module, opts), Some(config), opts, None, None)
 }
 
 /// Compiles `module` without instrumentation (the `-O3` baseline of the
 /// paper's figures).
 pub fn compile_baseline(module: Module, opts: BuildOptions) -> CompiledProgram {
-    compile_baseline_from_prefix(pipeline_prefix(module, opts), opts)
-}
-
-/// Like [`compile_baseline`], recording a per-pass span in `rec`.
-pub fn compile_baseline_traced(
-    mut module: Module,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    let p = Pipeline::new(opts.opt);
-    p.run_to_traced(&mut module, opts.ep, rec);
-    p.resume_at_traced(&mut module, opts.ep, None, rec);
-    CompiledProgram { module, mechanism: None, stats: InstrStats::default(), elisions: Vec::new() }
+    complete_prefix(pipeline_prefix(module, opts), None, opts, None, None)
 }
 
 /// Runs the pipeline stages *before* the extension point in `opts` and
 /// returns the module in the state an instrumentation pass would observe.
 ///
 /// The result is a reusable snapshot: it only depends on (module, opt
-/// level, extension point), so the evaluation driver caches it and
-/// completes compilation per mechanism with [`compile_from_prefix`] /
-/// [`compile_baseline_from_prefix`] — the shared prefix is optimized once
-/// instead of once per sweep cell.
+/// level, extension point), so the evaluation driver and the artifact
+/// store share it and complete compilation per configuration with
+/// [`complete_prefix`] — the shared prefix is optimized once instead of
+/// once per sweep cell.
 pub fn pipeline_prefix(mut module: Module, opts: BuildOptions) -> Module {
-    Pipeline::new(opts.opt).run_to(&mut module, opts.ep);
+    Pipeline::new(opts.opt).run_to(&mut module, opts.ep, None);
     module
 }
 
@@ -122,80 +91,62 @@ pub fn pipeline_prefix_traced(
     opts: BuildOptions,
     rec: &mut TraceRecorder,
 ) -> Module {
-    Pipeline::new(opts.opt).run_to_traced(&mut module, opts.ep, rec);
+    Pipeline::new(opts.opt).run_to(&mut module, opts.ep, Some(rec));
     module
 }
 
-/// Completes compilation of a [`pipeline_prefix`] snapshot with
-/// instrumentation per `config`. `opts` must match the options the prefix
-/// was built with; the composition equals [`compile`] on the original
-/// module.
-pub fn compile_from_prefix(
-    module: Module,
-    config: &MiConfig,
+/// Completes compilation of a [`pipeline_prefix`] snapshot: instruments it
+/// per `config` (`None` = the uninstrumented baseline) and runs the
+/// remaining pipeline stages. `opts` must match the options the prefix was
+/// built with; the composition equals [`compile`] / [`compile_baseline`]
+/// on the original module.
+///
+/// `summaries` are interprocedural summaries precomputed (by
+/// [`mir::analysis::ipo::summarize`]) over this exact prefix snapshot;
+/// `summarize` is deterministic, so a cached result keyed by (source,
+/// build options) composes byte-identically with letting the pass
+/// summarize the module itself (`None`). `rec`, when given, records a
+/// span per pass, the instrumentation plugin included.
+pub fn complete_prefix(
+    mut module: Module,
+    config: Option<&MiConfig>,
     opts: BuildOptions,
+    summaries: Option<Arc<ModuleSummaries>>,
+    rec: Option<&mut TraceRecorder>,
 ) -> CompiledProgram {
-    compile_from_prefix_with_summaries(module, config, opts, None)
+    let mut pass = config.map(|c| MemInstrumentPass::new(c.clone()).with_summaries(summaries));
+    let plugin = pass.as_mut().map(|p| p as &mut dyn ModulePass);
+    Pipeline::new(opts.opt).resume_at(&mut module, opts.ep, plugin, rec);
+    match pass {
+        Some(pass) => CompiledProgram {
+            module,
+            mechanism: Some(pass.config.mechanism),
+            stats: pass.stats,
+            elisions: pass.elisions,
+        },
+        None => CompiledProgram {
+            module,
+            mechanism: None,
+            stats: InstrStats::default(),
+            elisions: Vec::new(),
+        },
+    }
 }
 
-/// Like [`compile_from_prefix`], but reusing precomputed interprocedural
-/// summaries instead of letting the pass summarize the module itself.
-///
-/// The summaries must have been computed (by [`mir::analysis::ipo::summarize`])
-/// over this exact prefix snapshot; `summarize` is deterministic, so a
-/// cached result keyed by (source, build options) composes byte-identically
-/// with the self-summarizing path. Pass `None` to self-summarize.
+/// [`complete_prefix`] with instrumentation per `config`, reusing
+/// `summaries` when given.
 pub fn compile_from_prefix_with_summaries(
-    mut module: Module,
+    module: Module,
     config: &MiConfig,
     opts: BuildOptions,
     summaries: Option<Arc<ModuleSummaries>>,
 ) -> CompiledProgram {
-    let mut pass = MemInstrumentPass::new(config.clone()).with_summaries(summaries);
-    Pipeline::new(opts.opt).resume_at(&mut module, opts.ep, Some(&mut pass));
-    CompiledProgram {
-        module,
-        mechanism: Some(config.mechanism),
-        stats: pass.stats,
-        elisions: pass.elisions,
-    }
+    complete_prefix(module, Some(config), opts, summaries, None)
 }
 
-/// Like [`compile_from_prefix`], recording a per-pass span (including the
-/// instrumentation plugin) in `rec`.
-pub fn compile_from_prefix_traced(
-    mut module: Module,
-    config: &MiConfig,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    let mut pass = MemInstrumentPass::new(config.clone());
-    Pipeline::new(opts.opt).resume_at_traced(&mut module, opts.ep, Some(&mut pass), rec);
-    CompiledProgram {
-        module,
-        mechanism: Some(config.mechanism),
-        stats: pass.stats,
-        elisions: pass.elisions,
-    }
-}
-
-/// Completes compilation of a [`pipeline_prefix`] snapshot without
-/// instrumentation; the composition equals [`compile_baseline`] on the
-/// original module.
-pub fn compile_baseline_from_prefix(mut module: Module, opts: BuildOptions) -> CompiledProgram {
-    Pipeline::new(opts.opt).resume_at(&mut module, opts.ep, None);
-    CompiledProgram { module, mechanism: None, stats: InstrStats::default(), elisions: Vec::new() }
-}
-
-/// Like [`compile_baseline_from_prefix`], recording a per-pass span in
-/// `rec`.
-pub fn compile_baseline_from_prefix_traced(
-    mut module: Module,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    Pipeline::new(opts.opt).resume_at_traced(&mut module, opts.ep, None, rec);
-    CompiledProgram { module, mechanism: None, stats: InstrStats::default(), elisions: Vec::new() }
+/// [`complete_prefix`] without instrumentation.
+pub fn compile_baseline_from_prefix(module: Module, opts: BuildOptions) -> CompiledProgram {
+    complete_prefix(module, None, opts, None, None)
 }
 
 impl CompiledProgram {
@@ -276,27 +227,8 @@ impl crate::config::Instrument {
     /// Compiles `module` under this configuration (instrumented or
     /// baseline).
     pub fn compile(&self, module: Module) -> CompiledProgram {
-        match self.mi_config() {
-            Some(c) => compile(module, c, self.build_options()),
-            None => compile_baseline(module, self.build_options()),
-        }
-    }
-
-    /// Like [`Instrument::compile`](crate::Instrument::compile), recording
-    /// a per-pass span in `rec`.
-    pub fn compile_traced(&self, module: Module, rec: &mut TraceRecorder) -> CompiledProgram {
-        match self.mi_config() {
-            Some(c) => compile_traced(module, c, self.build_options(), rec),
-            None => compile_baseline_traced(module, self.build_options(), rec),
-        }
-    }
-
-    /// Completes compilation of a matching [`pipeline_prefix`] snapshot.
-    pub fn compile_from_prefix(&self, prefix: Module) -> CompiledProgram {
-        match self.mi_config() {
-            Some(c) => compile_from_prefix(prefix, c, self.build_options()),
-            None => compile_baseline_from_prefix(prefix, self.build_options()),
-        }
+        let opts = self.build_options();
+        complete_prefix(pipeline_prefix(module, opts), self.mi_config(), opts, None, None)
     }
 
     /// Compiles and runs `main` to completion.
@@ -947,27 +879,25 @@ mod tests {
     #[test]
     fn traced_compilation_matches_untraced() {
         let m = parse(CORRECT_PROGRAM);
-        for mech in [Mechanism::SoftBound, Mechanism::LowFat, Mechanism::RedZone] {
-            let cfg = MiConfig::new(mech);
-            let plain = compile(m.clone(), &cfg, BuildOptions::default());
+        let opts = BuildOptions::default();
+        for mech in
+            [None, Some(Mechanism::SoftBound), Some(Mechanism::LowFat), Some(Mechanism::RedZone)]
+        {
+            let cfg = mech.map(MiConfig::new);
+            let plain =
+                complete_prefix(pipeline_prefix(m.clone(), opts), cfg.as_ref(), opts, None, None);
             let mut rec = TraceRecorder::new();
-            let traced = compile_traced(m.clone(), &cfg, BuildOptions::default(), &mut rec);
+            let prefix = pipeline_prefix_traced(m.clone(), opts, &mut rec);
+            let traced = complete_prefix(prefix, cfg.as_ref(), opts, None, Some(&mut rec));
             assert_eq!(
                 mir::printer::print_module(&plain.module),
                 mir::printer::print_module(&traced.module),
                 "{mech:?}"
             );
-            assert!(rec.spans().iter().any(|s| s.stage.starts_with("plugin@")));
+            assert_eq!(plain.stats, traced.stats, "{mech:?}");
+            let plugin = rec.spans().iter().any(|s| s.stage.starts_with("plugin@"));
+            assert_eq!(plugin, mech.is_some(), "{mech:?}");
         }
-        let plain = compile_baseline(m.clone(), BuildOptions::default());
-        let mut rec = TraceRecorder::new();
-        let traced = compile_baseline_traced(m, BuildOptions::default(), &mut rec);
-        assert_eq!(
-            mir::printer::print_module(&plain.module),
-            mir::printer::print_module(&traced.module)
-        );
-        assert!(!rec.spans().is_empty());
-        assert!(rec.spans().iter().all(|s| !s.stage.starts_with("plugin@")));
     }
 
     const CORRECT_PROGRAM: &str = r#"
@@ -1282,7 +1212,7 @@ mod tests {
                 for mech in [Mechanism::SoftBound, Mechanism::LowFat, Mechanism::RedZone] {
                     let cfg = MiConfig::new(mech);
                     let direct = compile(m.clone(), &cfg, opts);
-                    let split = compile_from_prefix(prefix.clone(), &cfg, opts);
+                    let split = complete_prefix(prefix.clone(), Some(&cfg), opts, None, None);
                     assert_eq!(
                         mir::printer::print_module(&direct.module),
                         mir::printer::print_module(&split.module),

@@ -16,6 +16,8 @@
 
 use std::fmt::Write as _;
 
+use telemetry::json::json_str;
+
 use crate::module::Module;
 
 /// One executed pass: IR-delta counters plus wall-clock time.
@@ -122,8 +124,8 @@ impl TraceRecorder {
                  \"instrs_before\":{},\"instrs_after\":{},\
                  \"blocks_before\":{},\"blocks_after\":{},\
                  \"changed\":{}}}}}",
-                json_string(&s.name),
-                json_string(&s.stage),
+                json_str(&s.name),
+                json_str(&s.stage),
                 s.instrs_before,
                 s.instrs_after,
                 s.blocks_before,
@@ -154,34 +156,13 @@ pub fn chrome_trace_document(tracks: &[(String, TraceRecorder)]) -> String {
         events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
              \"args\":{{\"name\":{}}}}}",
-            json_string(label)
+            json_str(label)
         ));
         rec.write_chrome_events(&mut events, 1, tid);
     }
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.push_str(&events.join(",\n"));
     out.push_str("\n]}\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -257,11 +238,5 @@ mod tests {
         assert!(doc.contains("\"name\":\"x\""));
         assert!(doc.contains("\"name\":\"y\""));
         assert!(doc.contains("\"tid\":2"));
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

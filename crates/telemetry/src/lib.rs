@@ -1,7 +1,7 @@
 //! Deterministic observability primitives shared by the VM, the evaluation
 //! driver, and the CLI.
 //!
-//! Two building blocks:
+//! Two building blocks (plus the shared JSON string escaper, [`json`]):
 //!
 //! - [`metrics::Registry`] — a typed metrics registry (counters, gauges,
 //!   histograms) with plain `u64` fields and no atomics. Workers each fill a
@@ -19,6 +19,7 @@
 //! the design constraint, not an afterthought.
 
 pub mod flame;
+pub mod json;
 pub mod metrics;
 
 pub use flame::FoldedStacks;

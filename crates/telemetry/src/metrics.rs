@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::push_json_str;
+
 /// Identity of one time series: metric name plus sorted label pairs.
 type Key = (String, Vec<(String, String)>);
 
@@ -297,22 +299,6 @@ fn push_labels_json(s: &mut String, labels: &[(String, String)]) {
         push_json_str(s, v);
     }
     s.push('}');
-}
-
-fn push_json_str(s: &mut String, raw: &str) {
-    s.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
