@@ -1,31 +1,76 @@
 //! Runs every experiment and emits a complete Markdown report
-//! (paper-expected values next to measured ones). `EXPERIMENTS.md` at the
-//! repository root is generated from this binary's output:
+//! (paper-expected values next to measured ones):
 //!
 //! ```text
-//! cargo run --release -p bench --bin report > EXPERIMENTS.md
+//! cargo run --release -p bench --bin report > report.md
 //! ```
+//!
+//! `EXPERIMENTS.md` at the repository root is this output plus three
+//! hand-written sections ("VM backend", "Observability", "Serving
+//! throughput"); CI fails on any other difference between the two.
 
-use bench::driver::{benchmark_programs, paper_sweep_configs, Driver, JobConfig};
-use bench::{geomean, measurement_of, slowdown, Measurement};
+use bench::driver::{benchmark_programs, paper_sweep_configs, CellOk, Driver, JobConfig, Report};
+use bench::geomean;
 use meminstrument::{Mechanism, MiMode, OptConfig};
 use mir::pipeline::ExtensionPoint;
 
-struct Data {
+/// The paper-sweep cells of one benchmark that the sections read.
+struct Data<'a> {
     bench: &'static str,
     size_unknown: bool,
-    base: Measurement,
-    sb: Measurement,
-    lf: Measurement,
-    sb_unopt: Measurement,
-    lf_unopt: Measurement,
-    sb_noloop: Measurement,
-    lf_noloop: Measurement,
-    sb_meta: Measurement,
-    lf_inv: Measurement,
-    sb_eps: [Measurement; 3],
-    lf_eps: [Measurement; 3],
+    base: &'a CellOk,
+    sb: &'a CellOk,
+    lf: &'a CellOk,
+    rz: &'a CellOk,
+    sb_unopt: &'a CellOk,
+    lf_unopt: &'a CellOk,
+    sb_noloop: &'a CellOk,
+    lf_noloop: &'a CellOk,
+    sb_meta: &'a CellOk,
+    lf_inv: &'a CellOk,
+    sb_eps: [&'a CellOk; 3],
+    lf_eps: [&'a CellOk; 3],
 }
+
+impl<'a> Data<'a> {
+    fn of(report: &'a Report, b: &cbench::Benchmark) -> Data<'a> {
+        let cell = |cfg: JobConfig| report.ok(b.name, &cfg);
+        let mech = JobConfig::mechanism;
+        Data {
+            bench: b.name,
+            size_unknown: b.has_size_unknown_arrays,
+            base: cell(JobConfig::baseline()),
+            sb: cell(mech(Mechanism::SoftBound)),
+            lf: cell(mech(Mechanism::LowFat)),
+            rz: cell(mech(Mechanism::RedZone)),
+            sb_unopt: cell(mech(Mechanism::SoftBound).opt(OptConfig::none())),
+            lf_unopt: cell(mech(Mechanism::LowFat).opt(OptConfig::none())),
+            sb_noloop: cell(mech(Mechanism::SoftBound).opt(OptConfig::no_loops())),
+            lf_noloop: cell(mech(Mechanism::LowFat).opt(OptConfig::no_loops())),
+            sb_meta: cell(mech(Mechanism::SoftBound).mode(MiMode::GenInvariantsOnly)),
+            lf_inv: cell(mech(Mechanism::LowFat).mode(MiMode::GenInvariantsOnly)),
+            sb_eps: ExtensionPoint::ALL.map(|ep| cell(mech(Mechanism::SoftBound).at(ep))),
+            lf_eps: ExtensionPoint::ALL.map(|ep| cell(mech(Mechanism::LowFat).at(ep))),
+        }
+    }
+
+    /// Slowdown of `m` relative to this benchmark's baseline (the
+    /// figures' y-axis).
+    fn slowdown(&self, m: &CellOk) -> f64 {
+        m.stats.cost_total as f64 / self.base.stats.cost_total as f64
+    }
+
+    /// Mapped program memory of `m` relative to the baseline.
+    fn mem_ratio(&self, m: &CellOk) -> f64 {
+        m.stats.mapped_bytes as f64 / self.base.stats.mapped_bytes as f64
+    }
+}
+
+/// Selects one cell of a benchmark.
+type Pick = for<'a> fn(&Data<'a>) -> &'a CellOk;
+
+/// Selects the three cells of one figure's columns.
+type Pick3 = for<'a> fn(&Data<'a>) -> [&'a CellOk; 3];
 
 fn md_table(headers: &[&str], rows: &[Vec<String>]) {
     println!("| {} |", headers.join(" | "));
@@ -39,40 +84,7 @@ fn md_table(headers: &[&str], rows: &[Vec<String>]) {
 fn main() {
     // One parallel, cached sweep produces every cell of every figure.
     let report = Driver::new(benchmark_programs(), paper_sweep_configs()).run();
-    let cell = |b: &cbench::Benchmark, cfg: JobConfig| measurement_of(&report, b, &cfg);
-    let mut data = Vec::new();
-    for b in cbench::all() {
-        let mk_eps = |mech: Mechanism| {
-            let mut it = ExtensionPoint::ALL
-                .into_iter()
-                .map(|ep| cell(&b, JobConfig::mechanism(mech).at(ep)));
-            [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()]
-        };
-        data.push(Data {
-            bench: b.name,
-            size_unknown: b.has_size_unknown_arrays,
-            sb: cell(&b, JobConfig::mechanism(Mechanism::SoftBound)),
-            lf: cell(&b, JobConfig::mechanism(Mechanism::LowFat)),
-            sb_unopt: cell(&b, JobConfig::mechanism(Mechanism::SoftBound).opt(OptConfig::none())),
-            lf_unopt: cell(&b, JobConfig::mechanism(Mechanism::LowFat).opt(OptConfig::none())),
-            sb_noloop: cell(
-                &b,
-                JobConfig::mechanism(Mechanism::SoftBound).opt(OptConfig::no_loops()),
-            ),
-            lf_noloop: cell(&b, JobConfig::mechanism(Mechanism::LowFat).opt(OptConfig::no_loops())),
-            sb_meta: cell(
-                &b,
-                JobConfig::mechanism(Mechanism::SoftBound).mode(MiMode::GenInvariantsOnly),
-            ),
-            lf_inv: cell(
-                &b,
-                JobConfig::mechanism(Mechanism::LowFat).mode(MiMode::GenInvariantsOnly),
-            ),
-            sb_eps: mk_eps(Mechanism::SoftBound),
-            lf_eps: mk_eps(Mechanism::LowFat),
-            base: cell(&b, JobConfig::baseline()),
-        });
-    }
+    let data: Vec<Data> = cbench::all().iter().map(|b| Data::of(&report, b)).collect();
 
     println!("# EXPERIMENTS — paper vs. measured\n");
     println!("Generated by `cargo run --release -p bench --bin report`. \"Time\" is the");
@@ -89,7 +101,8 @@ fn main() {
     println!("paper artifact's §5.3 optimization set; loop widening would shrink");
     println!("the denominator and skew the percentages (see the check-optimization");
     println!("section below).\n");
-    let fmt_pct = |wide: u64, total: u64| {
+    let fmt_pct = |m: &CellOk| {
+        let (wide, total) = (m.stats.checks_wide, m.stats.checks_executed);
         let pct = if total == 0 { 0.0 } else { 100.0 * wide as f64 / total as f64 };
         if wide == 0 {
             format!("{pct:.2}\\*")
@@ -126,9 +139,9 @@ fn main() {
             vec![
                 format!("{}{}", d.bench, if d.size_unknown { " [sz]" } else { "" }),
                 paper.1.to_string(),
-                fmt_pct(d.sb_noloop.stats.checks_wide, d.sb_noloop.stats.checks_executed),
+                fmt_pct(d.sb_noloop),
                 paper.2.to_string(),
-                fmt_pct(d.lf_noloop.stats.checks_wide, d.lf_noloop.stats.checks_executed),
+                fmt_pct(d.lf_noloop),
             ]
         })
         .collect();
@@ -141,7 +154,7 @@ fn main() {
     let rows: Vec<Vec<String>> = data
         .iter()
         .map(|d| {
-            let (s, l) = (slowdown(&d.sb, &d.base), slowdown(&d.lf, &d.base));
+            let (s, l) = (d.slowdown(d.sb), d.slowdown(d.lf));
             vec![
                 d.bench.into(),
                 format!("{s:.2}x"),
@@ -151,89 +164,49 @@ fn main() {
         })
         .collect();
     md_table(&["benchmark", "SoftBound", "Low-Fat", "winner"], &rows);
-    let sb_mean = geomean(&data.iter().map(|d| slowdown(&d.sb, &d.base)).collect::<Vec<_>>());
-    let lf_mean = geomean(&data.iter().map(|d| slowdown(&d.lf, &d.base)).collect::<Vec<_>>());
+    let mean = |m: Pick| geomean(&data.iter().map(|d| d.slowdown(m(d))).collect::<Vec<_>>());
+    let (sb_mean, lf_mean) = (mean(|d| d.sb), mean(|d| d.lf));
     println!("Means: SoftBound **{sb_mean:.2}x** (paper 1.74x), Low-Fat **{lf_mean:.2}x** (paper 1.77x).");
     println!("Shape checks: `183equake` SoftBound-dominated (trie lookups in the hot loop, §5.2);");
     println!("`186crafty` Low-Fat-dominated (wider check sequence, §5.2).\n");
 
     // ----- Figures 10/11 -----
-    for (title, full, third_label, paper_note) in [
+    let figures_10_11: [(&str, Pick3, &str, &str); 2] = [
         (
             "Figure 10 — SoftBound: optimized / unoptimized / metadata only",
-            data.iter().map(|d| (d.bench, &d.sb, &d.sb_unopt, &d.sb_meta)).collect::<Vec<_>>(),
+            |d| [d.sb, d.sb_unopt, d.sb_meta],
             "metadata",
             "paper: optimized ≈ unoptimized (§5.3); metadata cost dominates for pointer-intensive benchmarks (197parser); unused metadata loads are DCE'd, underapproximating propagation cost (§5.4)",
         ),
         (
             "Figure 11 — Low-Fat: optimized / unoptimized / invariants only",
-            data.iter().map(|d| (d.bench, &d.lf, &d.lf_unopt, &d.lf_inv)).collect::<Vec<_>>(),
+            |d| [d.lf, d.lf_unopt, d.lf_inv],
             "invariants",
             "paper: the dominance optimization's runtime impact is minor; invariant checks at pointer escapes carry the residual overhead",
         ),
-    ] {
+    ];
+    for (title, pick, third_label, paper_note) in figures_10_11 {
         println!("## {title}\n");
-        let mut m_full = vec![];
-        let mut m_unopt = vec![];
-        let mut m_third = vec![];
-        let rows: Vec<Vec<String>> = full
-            .iter()
-            .map(|(name, f, u, t)| {
-                let d = data.iter().find(|d| d.bench == *name).unwrap();
-                let (sf, su, st) =
-                    (slowdown(f, &d.base), slowdown(u, &d.base), slowdown(t, &d.base));
-                m_full.push(sf);
-                m_unopt.push(su);
-                m_third.push(st);
-                vec![
-                    (*name).into(),
-                    format!("{sf:.2}x"),
-                    format!("{su:.2}x"),
-                    format!("{st:.2}x"),
-                ]
-            })
-            .collect();
+        let (rows, means) = slowdown_columns(&data, pick);
         md_table(&["benchmark", "optimized", "unoptimized", third_label], &rows);
         println!(
             "Means: optimized {:.2}x, unoptimized {:.2}x, {} only {:.2}x. \n{paper_note}.\n",
-            geomean(&m_full),
-            geomean(&m_unopt),
-            third_label,
-            geomean(&m_third)
+            means[0], means[1], third_label, means[2]
         );
     }
 
     // ----- Figures 12/13 -----
-    for (title, eps) in [
-        (
-            "Figure 12 — SoftBound at the three extension points",
-            data.iter().map(|d| (d.bench, &d.sb_eps)).collect::<Vec<_>>(),
-        ),
-        (
-            "Figure 13 — Low-Fat at the three extension points",
-            data.iter().map(|d| (d.bench, &d.lf_eps)).collect::<Vec<_>>(),
-        ),
-    ] {
+    let figures_12_13: [(&str, Pick3); 2] = [
+        ("Figure 12 — SoftBound at the three extension points", |d| d.sb_eps),
+        ("Figure 13 — Low-Fat at the three extension points", |d| d.lf_eps),
+    ];
+    for (title, pick) in figures_12_13 {
         println!("## {title}\n");
-        let mut means: Vec<Vec<f64>> = vec![vec![]; 3];
-        let rows: Vec<Vec<String>> = eps
-            .iter()
-            .map(|(name, ms)| {
-                let d = data.iter().find(|d| d.bench == *name).unwrap();
-                let mut row = vec![(*name).to_string()];
-                for (i, m) in ms.iter().enumerate() {
-                    let s = slowdown(m, &d.base);
-                    means[i].push(s);
-                    row.push(format!("{s:.2}x"));
-                }
-                row
-            })
-            .collect();
+        let (rows, [e, s, v]) = slowdown_columns(&data, pick);
         md_table(
             &["benchmark", "ModuleOptimizerEarly", "ScalarOptimizerLate", "VectorizerStart"],
             &rows,
         );
-        let (e, s, v) = (geomean(&means[0]), geomean(&means[1]), geomean(&means[2]));
         println!(
             "Means: early {e:.2}x, scalar-late {s:.2}x, vectorizer-start {v:.2}x — the early point carries {:.0} % more overhead (paper: ~30 %; the two late points are comparable).\n",
             100.0 * ((e - 1.0) / (v - 1.0) - 1.0)
@@ -268,14 +241,9 @@ fn main() {
     let rows: Vec<Vec<String>> = data
         .iter()
         .flat_map(|d| {
-            [(&d.sb, &d.sb_noloop, "softbound"), (&d.lf, &d.lf_noloop, "lowfat")].map(
+            [(d.sb, d.sb_noloop, "softbound"), (d.lf, d.lf_noloop, "lowfat")].map(
                 |(full, noloop, name)| {
                     let (fe, ne) = (full.stats.checks_executed, noloop.stats.checks_executed);
-                    let delta = if ne == 0 {
-                        "-".to_string()
-                    } else {
-                        format!("-{:.1}%", 100.0 * (ne.saturating_sub(fe)) as f64 / ne as f64)
-                    };
                     vec![
                         d.bench.into(),
                         name.into(),
@@ -284,7 +252,7 @@ fn main() {
                         full.instr.checks_widened.to_string(),
                         fe.to_string(),
                         ne.to_string(),
-                        delta,
+                        check_delta(fe, ne),
                     ]
                 },
             )
@@ -303,11 +271,10 @@ fn main() {
         ],
         &rows,
     );
-    let loop_delta = |full: &Measurement, noloop: &Measurement| {
-        noloop.stats.checks_executed.saturating_sub(full.stats.checks_executed)
-    };
-    let saved: u64 = data.iter().map(|d| loop_delta(&d.sb, &d.sb_noloop)).sum();
-    let benches_helped = data.iter().filter(|d| loop_delta(&d.sb, &d.sb_noloop) > 0).count();
+    let loop_delta =
+        |d: &Data| d.sb_noloop.stats.checks_executed.saturating_sub(d.sb.stats.checks_executed);
+    let saved: u64 = data.iter().map(loop_delta).sum();
+    let benches_helped = data.iter().filter(|d| loop_delta(d) > 0).count();
     println!(
         "Across the suite the loop-aware optimizations remove {saved} dynamic SoftBound checks ({benches_helped}/{} benchmarks improved) without changing any program output.\n",
         data.len()
@@ -331,34 +298,23 @@ fn main() {
         (Mechanism::LowFat, "lowfat"),
         (Mechanism::RedZone, "redzone"),
     ];
-    let noipo_report = Driver::new(
-        benchmark_programs(),
-        ipo_mechs.iter().map(|(m, _)| JobConfig::mechanism(*m).opt(OptConfig::no_ipo())).collect(),
-    )
-    .run();
+    let noipo_cfg = |mech| JobConfig::mechanism(mech).opt(OptConfig::no_ipo());
+    let noipo_report =
+        Driver::new(benchmark_programs(), ipo_mechs.iter().map(|(m, _)| noipo_cfg(*m)).collect())
+            .run();
     let mut cells_helped = 0usize;
     let mut total_saved: u64 = 0;
     let rows: Vec<Vec<String>> = data
         .iter()
         .flat_map(|d| {
-            let b = cbench::by_name(d.bench).unwrap();
             ipo_mechs.map(|(mech, name)| {
-                let full = cell(&b, JobConfig::mechanism(mech));
-                let noipo = measurement_of(
-                    &noipo_report,
-                    &b,
-                    &JobConfig::mechanism(mech).opt(OptConfig::no_ipo()),
-                );
+                let full = report.ok(d.bench, &JobConfig::mechanism(mech));
+                let noipo = noipo_report.ok(d.bench, &noipo_cfg(mech));
                 let (fe, ne) = (full.stats.checks_executed, noipo.stats.checks_executed);
                 if fe < ne {
                     cells_helped += 1;
                     total_saved += ne - fe;
                 }
-                let delta = if ne == 0 {
-                    "-".to_string()
-                } else {
-                    format!("-{:.1}%", 100.0 * (ne.saturating_sub(fe)) as f64 / ne as f64)
-                };
                 vec![
                     d.bench.into(),
                     name.into(),
@@ -366,7 +322,7 @@ fn main() {
                     full.instr.checks_elided_ipo.to_string(),
                     fe.to_string(),
                     ne.to_string(),
-                    delta,
+                    check_delta(fe, ne),
                 ]
             })
         })
@@ -393,12 +349,12 @@ fn main() {
     let rows: Vec<Vec<String>> = data
         .iter()
         .flat_map(|d| {
-            [(&d.sb, "softbound"), (&d.lf, "lowfat")].map(|(m, name)| {
-                let frac = |x: u64| format!("{:.2}", x as f64 / d.base.cost as f64);
+            [(d.sb, "softbound"), (d.lf, "lowfat")].map(|(m, name)| {
+                let frac = |x: u64| format!("{:.2}", x as f64 / d.base.stats.cost_total as f64);
                 vec![
                     d.bench.into(),
                     name.into(),
-                    format!("{:.2}x", slowdown(m, &d.base)),
+                    format!("{:.2}x", d.slowdown(m)),
                     frac(m.stats.cost_checks),
                     frac(m.stats.cost_metadata),
                     frac(m.stats.cost_allocator),
@@ -411,31 +367,100 @@ fn main() {
     println!("SoftBound's metadata share grows with pointer traffic (181mcf, 197parser,");
     println!("183equake), while Low-Fat pays almost everything in the checks themselves.");
 
-    // ----- Extensions beyond the paper -----
-    println!("\n## Extensions beyond the paper\n");
-    let rz: Vec<f64> = data
+    // ----- Mechanism comparison (runtime and memory) -----
+    println!("\n## Mechanism comparison — SoftBound / Low-Fat / RedZone\n");
+    println!("The two paper mechanisms next to the red-zone (ASan-style) port, all at");
+    println!("the paper basis configuration: execution-time overhead and mapped");
+    println!("program memory, both relative to the `-O3` baseline. Low-Fat pays in");
+    println!("size-class padding, red zones in guard zones; SoftBound's program memory");
+    println!("is unchanged because its metadata lives outside the program address");
+    println!("space (its trie and shadow-stack traffic shows up as the `metadata_loads`");
+    println!("/ `metadata_stores` counters of every `mi eval` cell).\n");
+    let mechs: [Pick; 3] = [|d| d.sb, |d| d.lf, |d| d.rz];
+    let mut rows: Vec<Vec<String>> = data
         .iter()
         .map(|d| {
-            let b = cbench::by_name(d.bench).unwrap();
-            let m = cell(&b, JobConfig::mechanism(Mechanism::RedZone));
-            slowdown(&m, &d.base)
+            let mut row = vec![d.bench.to_string()];
+            row.extend(mechs.map(|m| format!("{:.2}x", d.slowdown(m(d)))));
+            row.push(format!("{} KiB", d.base.stats.mapped_bytes / 1024));
+            row.extend(mechs.map(|m| format!("{:.2}x", d.mem_ratio(m(d)))));
+            row
         })
         .collect();
-    println!(
-        "* **Third mechanism (red zones, ASan-style)**: geometric-mean slowdown **{:.2}x** — cheaper than both paper mechanisms, with the weaker guarantees §2.1 describes (misses any overflow that clears the 16-byte guard zone; see `tests/redzone.rs` and `cargo run -p bench --bin mechanisms`).",
-        geomean(&rz)
+    let mut mean_row = vec!["MEAN (geo)".to_string()];
+    mean_row.extend(mechs.map(|m| format!("{:.2}x", mean(m))));
+    mean_row.push(String::new());
+    mean_row.extend(mechs.map(|m| {
+        let ratios: Vec<f64> = data.iter().map(|d| d.mem_ratio(m(d))).collect();
+        format!("{:.2}x", geomean(&ratios))
+    }));
+    rows.push(mean_row);
+    md_table(
+        &[
+            "benchmark",
+            "SB time",
+            "LF time",
+            "RZ time",
+            "baseline memory",
+            "SB memory",
+            "LF memory",
+            "RZ memory",
+        ],
+        &rows,
     );
-    let mem_lf = geomean(
-        &data
-            .iter()
-            .map(|d| d.lf.stats.mapped_bytes as f64 / d.base.stats.mapped_bytes as f64)
-            .collect::<Vec<_>>(),
+    println!("Guarantees (see `tests/redzone.rs`):\n");
+    println!("* softbound: exact object bounds; catches everything spatial incl. 1-byte overflows");
+    println!("* lowfat: padded object bounds; misses overflows into padding, rejects escaping OOB pointers");
+    println!(
+        "* redzone: adjacent overflows only; silent once an access clears the 16-byte guard zone"
+    );
+
+    // ----- §5.1.2 wrapper-check ablation -----
+    println!("\n## §5.1.2 — wrapper-check ablation\n");
+    println!("The paper disables the additional safety checks inside SoftBound's libc");
+    println!("wrappers to keep the runtime comparison fair. This ablation turns them");
+    println!("on (`sb_wrapper_checks`; the wrappers cover the `memcpy`/`memset`");
+    println!("intrinsics) to show what that choice is worth.\n");
+    // The knob is not part of the configuration label, so the wrapper-on
+    // column gets a run of its own instead of sharing the paper sweep.
+    let wrapped_cfg = JobConfig::mechanism(Mechanism::SoftBound).configure(|c| {
+        c.sb_wrapper_checks = true;
+    });
+    let wrapped_report = Driver::new(benchmark_programs(), vec![wrapped_cfg.clone()]).run();
+    let (mut offs, mut ons) = (vec![], vec![]);
+    let mut rows: Vec<Vec<String>> = data
+        .iter()
+        .map(|d| {
+            let on = wrapped_report.ok(d.bench, &wrapped_cfg);
+            let (so, sn) = (d.slowdown(d.sb), d.slowdown(on));
+            offs.push(so);
+            ons.push(sn);
+            let extra = on.stats.checks_executed as i64 - d.sb.stats.checks_executed as i64;
+            vec![d.bench.into(), format!("{so:.2}x"), format!("{sn:.2}x"), format!("{extra:+}")]
+        })
+        .collect();
+    rows.push(vec![
+        "MEAN (geo)".into(),
+        format!("{:.2}x", geomean(&offs)),
+        format!("{:.2}x", geomean(&ons)),
+        String::new(),
+    ]);
+    md_table(&["benchmark", "checks off (paper)", "checks on", "extra checks"], &rows);
+    println!("Wrapper checks trade a little runtime for catching overflowing");
+    println!("`memcpy`/`memset` ranges inside the (uninstrumented) libc (§4.3, Fig. 6).");
+
+    // ----- Extensions beyond the paper -----
+    println!("\n## Extensions beyond the paper\n");
+    println!(
+        "* **Third mechanism (red zones, ASan-style)**: geometric-mean slowdown **{:.2}x** — cheaper than both paper mechanisms, with the weaker guarantees §2.1 describes (misses any overflow that clears the 16-byte guard zone; see `tests/redzone.rs` and the mechanism comparison above).",
+        mean(|d| d.rz)
+    );
+    let mem_lf = geomean(&data.iter().map(|d| d.mem_ratio(d.lf)).collect::<Vec<_>>());
+    println!(
+        "* **Memory overhead**: Low-Fat's size-class padding maps **{mem_lf:.2}x** the baseline's program memory (geo-mean); SoftBound's program memory is unchanged (its metadata is disjoint); red zones sit in between (per-benchmark ratios in the mechanism comparison above)."
     );
     println!(
-        "* **Memory overhead**: Low-Fat's size-class padding maps **{mem_lf:.2}x** the baseline's program memory (geo-mean); SoftBound's program memory is unchanged (its metadata is disjoint); red zones sit in between (`cargo run -p bench --bin memory_overhead`)."
-    );
-    println!(
-        "* **Wrapper checks (§5.1.2)** and **Appendix-B member-bounds narrowing** are implemented behind `MiConfig` flags with dedicated harnesses/tests (`wrapper_checks`, `tests/narrowing.rs`)."
+        "* **Wrapper checks (§5.1.2)** and **Appendix-B member-bounds narrowing** are implemented behind `MiConfig` flags with a dedicated section/tests (the §5.1.2 ablation above, `tests/narrowing.rs`)."
     );
 
     // ----- Evaluation driver -----
@@ -464,8 +489,36 @@ fn main() {
     println!("\nInstrumentation runs afresh in every cell: nothing per cell is cached.");
     println!("\nThe same sweep is available as machine-readable JSON");
     println!("(`schema: evald-report/2`, deterministic ordering — byte-identical for");
-    println!("any `--jobs` value) via `mi eval --jobs N --out report.json`. Figure →");
-    println!("sweep mapping: `fig9_configs` (baseline + both mechanisms),");
-    println!("`variants_configs` (Figs. 10/11), `extension_point_configs`");
-    println!("(Figs. 12/13), `paper_sweep_configs` (this report and `mi eval`).");
+    println!("any `--jobs` value) via `mi eval --jobs N --out report.json`. Its matrix");
+    println!("is `paper_sweep_configs`; only the `-noipo` and wrapper-check columns");
+    println!("come from two small runs of their own.");
+}
+
+/// Per-benchmark slowdowns of the three cells `pick` selects, plus each
+/// column's geometric mean.
+fn slowdown_columns(data: &[Data], pick: Pick3) -> (Vec<Vec<String>>, [f64; 3]) {
+    let mut columns: [Vec<f64>; 3] = Default::default();
+    let rows = data
+        .iter()
+        .map(|d| {
+            let mut row = vec![d.bench.to_string()];
+            for (i, m) in pick(d).into_iter().enumerate() {
+                let s = d.slowdown(m);
+                columns[i].push(s);
+                row.push(format!("{s:.2}x"));
+            }
+            row
+        })
+        .collect();
+    (rows, columns.map(|c| geomean(&c)))
+}
+
+/// Relative drop in executed checks from `without` (the optimization
+/// off) to `with` (on), or `-` when nothing executed.
+fn check_delta(with: u64, without: u64) -> String {
+    if without == 0 {
+        "-".to_string()
+    } else {
+        format!("-{:.1}%", 100.0 * (without.saturating_sub(with)) as f64 / without as f64)
+    }
 }

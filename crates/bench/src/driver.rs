@@ -2,9 +2,8 @@
 //!
 //! Every figure and table of the paper is a sweep over the same
 //! cross-product: program × configuration (mechanism/variant × extension
-//! point × opt level). Before this driver existed each figure binary
-//! re-ran its cells serially and recompiled the frontend for every cell.
-//! The driver instead:
+//! point × opt level). Rather than compiling and running each cell on its
+//! own, the driver:
 //!
 //! 1. enumerates the sweep as an explicit job matrix
 //!    ([`Driver::programs`] × [`Driver::configs`]);
@@ -166,8 +165,8 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// The cell's outcome, panicking with a diagnostic on a trap. Figure
-    /// harnesses use this: benchmark programs are memory-safe fixtures.
+    /// The cell's outcome, panicking with a diagnostic on a trap. The
+    /// report uses this: benchmark programs are memory-safe fixtures.
     pub fn ok(&self) -> &CellOk {
         match &self.outcome {
             Ok(ok) => ok,
@@ -742,26 +741,6 @@ pub fn fig9_configs() -> Vec<JobConfig> {
     ]
 }
 
-/// Baseline + optimized/unoptimized/invariants-only for `mech`
-/// (Figures 10/11).
-pub fn variants_configs(mech: Mechanism) -> Vec<JobConfig> {
-    vec![
-        Instrument::baseline(),
-        Instrument::mechanism(mech),
-        Instrument::mechanism(mech).opt(OptConfig::none()),
-        Instrument::mechanism(mech).mode(MiMode::GenInvariantsOnly),
-    ]
-}
-
-/// Baseline + `mech` at all three extension points (Figures 12/13).
-pub fn extension_point_configs(mech: Mechanism) -> Vec<JobConfig> {
-    let mut v = vec![Instrument::baseline()];
-    for ep in ExtensionPoint::ALL {
-        v.push(Instrument::mechanism(mech).at(ep));
-    }
-    v
-}
-
 /// The full paper sweep: everything `report`/`mi eval` needs — baseline,
 /// both mechanisms at all extension points, the unoptimized,
 /// dominance-only (`-noloop`, isolating the loop-aware check
@@ -847,9 +826,12 @@ mod tests {
 
     #[test]
     fn cache_counters_reflect_matrix_shape() {
-        // 2 programs × 5 configs, 3 distinct (opt, ep) pairs per program.
-        let configs = extension_point_configs(Mechanism::SoftBound);
-        assert_eq!(configs.len(), 4);
+        // 2 programs × 4 configs (baseline + SoftBound at every extension
+        // point), 3 distinct (opt, ep) pairs per program.
+        let mut configs = vec![Instrument::baseline()];
+        for ep in ExtensionPoint::ALL {
+            configs.push(Instrument::mechanism(Mechanism::SoftBound).at(ep));
+        }
         let r = Driver::new(tiny_programs(), configs).with_jobs(4).run();
         assert_eq!(r.cache.frontend_compiles, 2);
         assert_eq!(r.cache.frontend_reuses, 8 - 2);

@@ -1,20 +1,14 @@
 #![warn(missing_docs)]
 
-//! `bench`: harnesses regenerating every table and figure of the paper.
+//! `bench`: the `evald` evaluation driver and the report that regenerates
+//! every table and figure of the paper.
 //!
-//! Binaries (each prints a formatted table to stdout):
-//!
-//! | binary | regenerates |
-//! |---|---|
-//! | `table2` | Table 2 — % of dynamic checks with wide bounds |
-//! | `fig9` | Figure 9 — execution-time overhead, SoftBound vs Low-Fat |
-//! | `fig10` | Figure 10 — SoftBound: optimized / unoptimized / metadata |
-//! | `fig11` | Figure 11 — Low-Fat: optimized / unoptimized / invariants |
-//! | `fig12` | Figure 12 — SoftBound at three extension points |
-//! | `fig13` | Figure 13 — Low-Fat at three extension points |
-//! | `checks_removed` | §5.3 — static share of checks removed by the dominance optimization |
-//! | `cost_breakdown` | §5.4 ablation — cost split by category (checks/metadata/allocator) |
-//! | `report` | everything above, plus geometric means, in one run |
+//! One binary, `report`, renders Table 2, Figures 9–13, the §5.3/§5.4
+//! ablations, the §5.1.2 wrapper-check ablation and the three-way
+//! mechanism comparison as Markdown (`EXPERIMENTS.md` is its output). Every
+//! number comes from [`driver::Driver`] sweeps; `mi eval` emits the same
+//! paper sweep as `evald-report/2` JSON, including the per-cell counters no
+//! table prints.
 //!
 //! Absolute cost units are a deterministic proxy (see `memvm::cost`); the
 //! comparisons reproduce the paper's *shapes*, not its wall-clock numbers.
@@ -24,115 +18,12 @@ pub mod job;
 pub mod json;
 pub mod store;
 
-use cbench::Benchmark;
-use meminstrument::runtime::BuildOptions;
-use meminstrument::{InstrStats, Mechanism, MiConfig};
-use memvm::VmStats;
-use mir::pipeline::ExtensionPoint;
-
-/// One measured configuration of one benchmark.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Configuration label.
-    pub config: String,
-    /// Total cost (the "execution time").
-    pub cost: u64,
-    /// Dynamic VM statistics.
-    pub stats: VmStats,
-    /// Static instrumentation statistics.
-    pub instr: InstrStats,
-}
-
-/// Extracts a [`Measurement`] from an `evald` report cell, panicking if
-/// the cell is missing or trapped (benchmarks are memory-safe fixtures).
-pub fn measurement_of(
-    report: &driver::Report,
-    b: &Benchmark,
-    cfg: &driver::JobConfig,
-) -> Measurement {
-    let cell = report.ok(b.name, cfg);
-    Measurement {
-        bench: b.name,
-        config: cfg.to_string(),
-        cost: cell.stats.cost_total,
-        stats: cell.stats.clone(),
-        instr: cell.instr.clone(),
-    }
-}
-
-/// Runs the uninstrumented `-O3` baseline.
-pub fn measure_baseline(b: &Benchmark) -> Measurement {
-    let out = cbench::run_baseline(b, BuildOptions::default()).expect("baseline must run");
-    Measurement {
-        bench: b.name,
-        config: "baseline".into(),
-        cost: out.exec.stats.cost_total,
-        stats: out.exec.stats,
-        instr: out.instr,
-    }
-}
-
-/// Runs an instrumented configuration.
-pub fn measure(b: &Benchmark, config: &MiConfig, opts: BuildOptions) -> Measurement {
-    let out = cbench::run(b, config, opts)
-        .unwrap_or_else(|t| panic!("{} {:?} trapped: {t}", b.name, config.mechanism));
-    Measurement {
-        bench: b.name,
-        config: config.mechanism.name().to_string(),
-        cost: out.exec.stats.cost_total,
-        stats: out.exec.stats,
-        instr: out.instr,
-    }
-}
-
-/// Slowdown of `m` relative to `baseline` (the figures' y-axis).
-pub fn slowdown(m: &Measurement, baseline: &Measurement) -> f64 {
-    m.cost as f64 / baseline.cost as f64
-}
-
 /// Geometric mean of a slice of ratios.
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// The paper's Figure 9 configuration.
-pub fn paper_options() -> BuildOptions {
-    BuildOptions::default()
-}
-
-/// Options at a specific extension point.
-pub fn options_at(ep: ExtensionPoint) -> BuildOptions {
-    BuildOptions { ep, ..BuildOptions::default() }
-}
-
-/// Prints a row-aligned table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let line = |cells: &[String]| {
-        let joined: Vec<String> =
-            cells.iter().enumerate().map(|(i, c)| format!("{c:>w$}", w = widths[i])).collect();
-        println!("  {}", joined.join("  "));
-    };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
-}
-
-/// Both mechanisms' paper-basis configs.
-pub fn both_mechanisms() -> [MiConfig; 2] {
-    [MiConfig::new(Mechanism::SoftBound), MiConfig::new(Mechanism::LowFat)]
 }
 
 #[cfg(test)]
@@ -144,14 +35,5 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
-    }
-
-    #[test]
-    fn slowdown_is_ratio() {
-        let b = cbench::by_name("186crafty").unwrap();
-        let base = measure_baseline(&b);
-        let sb = measure(&b, &MiConfig::new(Mechanism::SoftBound), paper_options());
-        let s = slowdown(&sb, &base);
-        assert!(s > 1.0, "instrumentation must cost something, got {s}");
     }
 }

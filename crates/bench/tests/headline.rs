@@ -1,30 +1,42 @@
 //! Regression guards for the paper's headline shapes. If a pipeline or
 //! cost-model change breaks one of these, the reproduction has drifted.
 //!
-//! Slow in debug builds, so they only run under `--release`
-//! (`cargo test --release -p bench`).
+//! The full-suite guards read one shared paper sweep (`mi eval`'s
+//! 20 × 14 matrix). Slow in debug builds, so they only run under
+//! `--release` (`cargo test --release -p bench`).
 
-use bench::driver::{fig9_configs, Driver, JobConfig, Program};
-use bench::{geomean, measure, measure_baseline, options_at, paper_options, slowdown};
-use meminstrument::{Mechanism, MiConfig, OptConfig};
+use std::sync::OnceLock;
+
+use bench::driver::{
+    benchmark_programs, fig9_configs, paper_sweep_configs, Driver, JobConfig, Program, Report,
+};
+use bench::geomean;
+use meminstrument::{Mechanism, MiMode, OptConfig};
 use mir::pipeline::ExtensionPoint;
 
-fn mean_slowdown(cfg: &MiConfig, opts: meminstrument::runtime::BuildOptions) -> f64 {
-    let xs: Vec<f64> = cbench::all()
-        .iter()
-        .map(|b| {
-            let base = measure_baseline(b);
-            slowdown(&measure(b, cfg, opts), &base)
-        })
-        .collect();
+/// The paper sweep every release-only guard reads, run once per test
+/// binary.
+fn sweep() -> &'static Report {
+    static SWEEP: OnceLock<Report> = OnceLock::new();
+    SWEEP.get_or_init(|| Driver::new(benchmark_programs(), paper_sweep_configs()).run())
+}
+
+fn slowdown(name: &str, cfg: &JobConfig) -> f64 {
+    let r = sweep();
+    r.ok(name, cfg).stats.cost_total as f64
+        / r.ok(name, &JobConfig::baseline()).stats.cost_total as f64
+}
+
+fn mean_slowdown(cfg: &JobConfig) -> f64 {
+    let xs: Vec<f64> = cbench::all().iter().map(|b| slowdown(b.name, cfg)).collect();
     geomean(&xs)
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
 fn figure9_means_stay_near_the_paper() {
-    let sb = mean_slowdown(&MiConfig::new(Mechanism::SoftBound), paper_options());
-    let lf = mean_slowdown(&MiConfig::new(Mechanism::LowFat), paper_options());
+    let sb = mean_slowdown(&JobConfig::mechanism(Mechanism::SoftBound));
+    let lf = mean_slowdown(&JobConfig::mechanism(Mechanism::LowFat));
     // Paper: 1.74x / 1.77x. Allow a band, and require near-parity.
     assert!((1.55..=2.05).contains(&sb), "SoftBound mean drifted: {sb:.2}");
     assert!((1.55..=2.05).contains(&lf), "Low-Fat mean drifted: {lf:.2}");
@@ -35,11 +47,8 @@ fn figure9_means_stay_near_the_paper() {
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
 fn figure9_crossovers_hold() {
     let check = |name: &str| {
-        let b = cbench::by_name(name).unwrap();
-        let base = measure_baseline(&b);
-        let sb =
-            slowdown(&measure(&b, &MiConfig::new(Mechanism::SoftBound), paper_options()), &base);
-        let lf = slowdown(&measure(&b, &MiConfig::new(Mechanism::LowFat), paper_options()), &base);
+        let sb = slowdown(name, &JobConfig::mechanism(Mechanism::SoftBound));
+        let lf = slowdown(name, &JobConfig::mechanism(Mechanism::LowFat));
         (sb, lf)
     };
     // equake: trie lookups in the hot loop make SoftBound clearly worse.
@@ -54,10 +63,10 @@ fn figure9_crossovers_hold() {
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
 fn extension_point_ordering_holds() {
     for mech in [Mechanism::SoftBound, Mechanism::LowFat] {
-        let cfg = MiConfig::new(mech);
-        let early = mean_slowdown(&cfg, options_at(ExtensionPoint::ModuleOptimizerEarly));
-        let scalar = mean_slowdown(&cfg, options_at(ExtensionPoint::ScalarOptimizerLate));
-        let vec = mean_slowdown(&cfg, options_at(ExtensionPoint::VectorizerStart));
+        let at = |ep| mean_slowdown(&JobConfig::mechanism(mech).at(ep));
+        let early = at(ExtensionPoint::ModuleOptimizerEarly);
+        let scalar = at(ExtensionPoint::ScalarOptimizerLate);
+        let vec = at(ExtensionPoint::VectorizerStart);
         // §5.5: early is clearly worse; the two late points are comparable.
         assert!(
             (early - 1.0) > (vec - 1.0) * 1.15,
@@ -76,10 +85,8 @@ fn table2_signature_entries_hold() {
     // Dominance-only, like the paper artifact: loop widening would shrink
     // the executed-check denominator and skew the wide percentages.
     let wide = |name: &str, mech: Mechanism| {
-        let b = cbench::by_name(name).unwrap();
-        let mut cfg = MiConfig::new(mech);
-        cfg.opt = OptConfig::no_loops();
-        measure(&b, &cfg, paper_options()).stats.wide_check_percent()
+        let cfg = JobConfig::mechanism(mech).opt(OptConfig::no_loops());
+        sweep().ok(name, &cfg).stats.wide_check_percent()
     };
     // gzip ~62 % wide under SoftBound, fully checked under Low-Fat.
     let g = wide("164gzip", Mechanism::SoftBound);
@@ -99,8 +106,8 @@ fn geninvariants_far_below_full_checking() {
     // §5.4/Figures 10-11: metadata propagation alone costs a small fraction
     // of full checking.
     for mech in [Mechanism::SoftBound, Mechanism::LowFat] {
-        let full = mean_slowdown(&MiConfig::new(mech), paper_options());
-        let meta = mean_slowdown(&MiConfig::invariants_only(mech), paper_options());
+        let full = mean_slowdown(&JobConfig::mechanism(mech));
+        let meta = mean_slowdown(&JobConfig::mechanism(mech).mode(MiMode::GenInvariantsOnly));
         assert!(
             (meta - 1.0) < (full - 1.0) * 0.3,
             "{mech:?}: metadata-only {meta:.2} too close to full {full:.2}"

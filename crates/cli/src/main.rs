@@ -48,10 +48,13 @@
 //!                               driver/CLI. Stops when a client sends a
 //!                               shutdown op (drains first).
 //! mi bench-serve [--clients N] [--requests N] [--action compile|run]
-//!                [--programs N] [--socket PATH] [--vm walk|bytecode]
+//!                [--programs N] [--window N] [--socket PATH]
+//!                [--vm walk|bytecode]
 //!                               closed-loop daemon throughput benchmark:
 //!                               drive the job matrix through N pipelined
-//!                               clients twice (cold store, then warm) and
+//!                               clients (each with at most --window
+//!                               requests in flight, default 32) twice
+//!                               (cold store, then warm) and
 //!                               report req/s and p50/p90/p99 latency per
 //!                               pass. Without --socket an in-process daemon
 //!                               is started and shut down automatically.
@@ -98,6 +101,7 @@ use mir::trace::TraceRecorder;
 
 fn usage() -> ExitCode {
     eprintln!("usage: mi <run|ir|check|stats> <file.c> [options]");
+    eprintln!("       mi run <file.c> --connect PATH [options]");
     eprintln!("       mi profile <file.c> [options] [--top N] [--json]");
     eprintln!("       mi eval [file.c ...] [--jobs N] [--out report.json] [--timings]");
     eprintln!("               [--trace trace.json] [--vm walk|bytecode]");
@@ -106,8 +110,9 @@ fn usage() -> ExitCode {
     eprintln!("       mi fuzz [--seed S] [--cases N] [--jobs N] [--fail-dir DIR]");
     eprintln!("               [--no-shrink] [--replay IDX] [--vm walk|bytecode]");
     eprintln!("       mi serve [--socket PATH] [--workers N] [--queue N] [--deadline-ms N]");
+    eprintln!("               [--vm walk|bytecode]");
     eprintln!("       mi bench-serve [--clients N] [--requests N] [--action compile|run]");
-    eprintln!("               [--programs N] [--socket PATH]");
+    eprintln!("               [--programs N] [--window N] [--socket PATH] [--vm walk|bytecode]");
     eprintln!("       (see `crates/cli/src/main.rs` header for options)");
     ExitCode::from(2)
 }
@@ -667,6 +672,15 @@ fn cmd_eval(args: &[String]) -> ExitCode {
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| f.clone());
             programs.push(Program { name, source });
+        }
+        // Report cells and metric series are keyed by program name: two
+        // inputs sharing one would be merged into a single series.
+        let mut seen = std::collections::HashMap::new();
+        for (p, f) in programs.iter().zip(&files) {
+            if let Some(first) = seen.insert(p.name.as_str(), f) {
+                eprintln!("error: {first} and {f} are both program `{}`", p.name);
+                return ExitCode::from(2);
+            }
         }
         programs
     };

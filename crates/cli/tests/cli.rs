@@ -126,6 +126,24 @@ fn eval_report_is_byte_identical_across_job_counts() {
 }
 
 #[test]
+fn eval_rejects_two_inputs_with_the_same_program_name() {
+    let dirs = ["mi_cli_test_dup_a", "mi_cli_test_dup_b"].map(|d| std::env::temp_dir().join(d));
+    let files = dirs.map(|d| {
+        std::fs::create_dir_all(&d).unwrap();
+        let path = d.join("x.c");
+        std::fs::write(&path, CLEAN).unwrap();
+        path
+    });
+    let out = mi().arg("eval").args(&files).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("both program `x`"), "{err}");
+    // A built-in benchmark named twice clashes the same way.
+    let out = mi().args(["eval", "183equake", "183equake"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
 fn run_buggy_program_names_access_and_allocation_lines() {
     let path = write_temp("prov.c", BUGGY);
     let out = mi().args(["run", path.to_str().unwrap(), "--mech", "softbound"]).output().unwrap();

@@ -373,8 +373,8 @@ impl Vm {
 
     /// Installs a wall-clock deadline: execution traps with
     /// [`Trap::DeadlineExceeded`] at the first budget poll after `deadline`
-    /// passes. Polls are clocked by charged cost (every [`POLL_STRIDE`]
-    /// units), so runs that never reach a poll are unaffected.
+    /// passes. Polls are clocked by charged cost (every 1,000,000 units,
+    /// `POLL_STRIDE`), so runs that never reach a poll are unaffected.
     pub fn set_deadline(&mut self, deadline: std::time::Instant) {
         self.deadline = Some(deadline);
         self.poll_next_at = self.stats.cost_total.saturating_add(POLL_STRIDE);

@@ -32,7 +32,7 @@ type Frame = (u32, u32);
 /// The next-boundary cursor lives on the *owner* (the VM keeps it as a bare
 /// `u64` field, `u64::MAX` when sampling is off), so the per-charge hot path
 /// is a single integer compare; the sampler itself is only consulted on the
-/// cold boundary-crossing path via [`FlameSampler::sample_until`].
+/// cold boundary-crossing path via `FlameSampler::sample_until`.
 #[derive(Clone, Debug)]
 pub struct FlameSampler {
     interval: u64,
